@@ -335,8 +335,6 @@ pub struct SolverStats {
     pub components: u64,
     /// Components that contained no flows (index cleanup only).
     pub empty_components: u64,
-    /// Flow-rate derivations: Σ over solved components of their flow count.
-    pub flow_solves: u64,
     /// Water-filling rounds executed.
     pub fill_rounds: u64,
     /// Recomputes whose components were solved on the worker pool.

@@ -17,7 +17,9 @@ pub enum DType {
 }
 
 impl DType {
-    /// Bytes per element on the wire and in buffers.
+    /// Bytes per element, the same in buffers and on the wire: elements
+    /// travel at native width as their own little-endian bits (see
+    /// [`Element::wire_bits`]).
     pub const fn size_bytes(self) -> usize {
         match self {
             DType::F32 => 4,
@@ -52,6 +54,13 @@ pub trait Element: Copy + Send + Sync + Debug + PartialEq + 'static {
     fn to_f32(self) -> f32;
     /// Narrow from f32 with round-to-nearest-even.
     fn from_f32(x: f32) -> Self;
+
+    /// The raw bit pattern in the low `DTYPE.size_bytes()` bytes (upper
+    /// bytes zero); little-endian, those bytes are the element on the wire.
+    fn wire_bits(self) -> u32;
+    /// Rebuild an element from the low `DTYPE.size_bytes()` bytes of
+    /// `bits`, exactly: every pattern, NaN payloads included, comes back.
+    fn from_wire_bits(bits: u32) -> Self;
 }
 
 impl Element for f32 {
@@ -64,6 +73,14 @@ impl Element for f32 {
     #[inline]
     fn from_f32(x: f32) -> Self {
         x
+    }
+    #[inline]
+    fn wire_bits(self) -> u32 {
+        self.to_bits()
+    }
+    #[inline]
+    fn from_wire_bits(bits: u32) -> Self {
+        f32::from_bits(bits)
     }
 }
 
@@ -78,6 +95,14 @@ impl Element for F16 {
     fn from_f32(x: f32) -> Self {
         F16::from_f32(x)
     }
+    #[inline]
+    fn wire_bits(self) -> u32 {
+        self.to_bits().into()
+    }
+    #[inline]
+    fn from_wire_bits(bits: u32) -> Self {
+        F16::from_bits(bits as u16)
+    }
 }
 
 impl Element for Bf16 {
@@ -91,6 +116,14 @@ impl Element for Bf16 {
     fn from_f32(x: f32) -> Self {
         Bf16::from_f32(x)
     }
+    #[inline]
+    fn wire_bits(self) -> u32 {
+        self.to_bits().into()
+    }
+    #[inline]
+    fn from_wire_bits(bits: u32) -> Self {
+        Bf16::from_bits(bits as u16)
+    }
 }
 
 impl Element for F8E4M3 {
@@ -103,6 +136,14 @@ impl Element for F8E4M3 {
     #[inline]
     fn from_f32(x: f32) -> Self {
         F8E4M3::from_f32(x)
+    }
+    #[inline]
+    fn wire_bits(self) -> u32 {
+        self.to_bits().into()
+    }
+    #[inline]
+    fn from_wire_bits(bits: u32) -> Self {
+        F8E4M3::from_bits(bits as u8)
     }
 }
 

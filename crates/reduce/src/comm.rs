@@ -11,11 +11,15 @@
 //! a `Communicator`, and commit the staged observability buffers only for
 //! clean executions.
 //!
-//! Elements travel the wire as little-endian `f32` (4 bytes each): every
-//! dtype in `ff_dtypes` widens to `f32` exactly and rounds back to itself,
-//! so the encoding is lossless while keeping one frame format across all
-//! precisions. Arbitrary payloads (the MoE all2all routes structured
-//! tokens) implement [`Wire`] instead.
+//! Elements travel the wire at native width as their own little-endian
+//! bits ([`Element::wire_bits`]): f32 in 4 bytes, f16/bf16 in 2, f8e4m3 in
+//! 1, so a frame carries exactly `len × DType::size_bytes()` bytes and
+//! every bit pattern (NaN payloads included) arrives unchanged. Each
+//! communicator encodes into one reusable send buffer. A received frame
+//! is decoded straight into the caller's slice, or reduced into it with
+//! the exact [`reduce_add_into`] arithmetic; the collectives all work in
+//! place on the caller's `data`. Arbitrary payloads (the MoE all2all
+//! routes structured tokens) implement [`Wire`] instead.
 
 use crate::fabric::{
     CommError, Fabric, RecvAnyError, Tag, DEFAULT_RECV_TIMEOUT, PHASE_A2A, PHASE_DOWN, PHASE_RING,
@@ -25,6 +29,7 @@ use crate::kernels::{chunk_ranges, reduce_add_into, reduce_n_into};
 use ff_dtypes::Element;
 use ff_obs::TrackBuf;
 use ff_topo::dbtree::DoubleBinaryTree;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -87,7 +92,7 @@ impl<'a> WireCursor<'a> {
 /// Self-describing byte serialization for all2all payloads — the typed
 /// messages (routed MoE tokens, index pairs) that must cross a byte
 /// transport. Collective element buffers do *not* go through `Wire`; they
-/// use the fixed `f32` frame format directly.
+/// travel as raw native-width element bits.
 pub trait Wire: Sized {
     /// Append this value's encoding to `out`.
     fn wire_write(&self, out: &mut Vec<u8>);
@@ -186,28 +191,50 @@ impl Wire for String {
 // Elements on the wire
 // ---------------------------------------------------------------------------
 
-/// Bytes per element on the wire: everything travels as little-endian
-/// `f32`, which every `ff_dtypes` element widens to exactly.
-const ELEM_WIRE_BYTES: usize = 4;
+/// Elements decoded per stack block when reducing a frame on receive.
+const RECV_BLOCK: usize = 256;
 
-fn encode_elems<E: Element>(data: &[E]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * ELEM_WIRE_BYTES);
-    for x in data {
-        out.extend_from_slice(&x.to_f32().to_le_bytes());
+/// Encode `data` into `out` (replacing its contents) as native-width
+/// little-endian element bits.
+fn encode_elems<E: Element>(data: &[E], out: &mut Vec<u8>) {
+    let w = E::DTYPE.size_bytes();
+    out.clear();
+    out.resize(data.len() * w, 0);
+    for (b, x) in out.chunks_exact_mut(w).zip(data) {
+        b.copy_from_slice(&x.wire_bits().to_le_bytes()[..w]);
     }
-    out
 }
 
-fn decode_elems<E: Element>(bytes: &[u8]) -> Option<Vec<E>> {
-    if !bytes.len().is_multiple_of(ELEM_WIRE_BYTES) {
-        return None;
+/// Overwrite `dst` with the elements of `bytes`, whose length the caller
+/// has checked is `dst.len() × size_bytes()`.
+fn decode_elems_into<E: Element>(dst: &mut [E], bytes: &[u8]) {
+    let w = E::DTYPE.size_bytes();
+    for (d, b) in dst.iter_mut().zip(bytes.chunks_exact(w)) {
+        let mut le = [0u8; 4];
+        le[..w].copy_from_slice(b);
+        *d = E::from_wire_bits(u32::from_le_bytes(le));
     }
-    Some(
-        bytes
-            .chunks_exact(ELEM_WIRE_BYTES)
-            .map(|c| E::from_f32(f32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .collect(),
-    )
+}
+
+/// `dst += bytes` elementwise with exactly [`reduce_add_into`]'s
+/// arithmetic: the frame is decoded a stack block at a time and added in.
+fn reduce_elems_into<E: Element>(dst: &mut [E], bytes: &[u8]) {
+    let w = E::DTYPE.size_bytes();
+    let mut block = [E::ZERO; RECV_BLOCK];
+    for (d, b) in dst.chunks_mut(RECV_BLOCK).zip(bytes.chunks(RECV_BLOCK * w)) {
+        let block = &mut block[..d.len()];
+        decode_elems_into(block, b);
+        reduce_add_into(d, block);
+    }
+}
+
+/// How a received element frame lands in the caller's slice.
+#[derive(Clone, Copy)]
+enum Land {
+    /// Overwrite the slice (broadcast-down and allgather legs).
+    Copy,
+    /// Add into the slice (reduce-up and reduce-scatter legs).
+    Add,
 }
 
 fn phase_char(phase: u8) -> char {
@@ -232,6 +259,8 @@ pub struct Communicator<F: Fabric> {
     fab: F,
     /// Out-of-order arrivals, keyed by `(sender, tag)`.
     stash: HashMap<(usize, Tag), Vec<u8>>,
+    /// Element frames are encoded here, reused across every send.
+    send_buf: Vec<u8>,
     /// Peers that delivered a hangup control frame.
     dead: Vec<bool>,
     recv_timeout: Duration,
@@ -253,6 +282,7 @@ impl<F: Fabric> Communicator<F> {
         Communicator {
             fab,
             stash: HashMap::new(),
+            send_buf: Vec::new(),
             dead: vec![false; n],
             recv_timeout,
             obs: None,
@@ -296,7 +326,7 @@ impl<F: Fabric> Communicator<F> {
     }
 
     /// Send `data` to `to` under the collective leg `(tree, chunk, phase)`.
-    pub fn send_elems<E: Element>(
+    fn send_elems<E: Element>(
         &mut self,
         to: usize,
         tree: u8,
@@ -310,33 +340,46 @@ impl<F: Fabric> Communicator<F> {
             buf.op(&name, len, len as f64);
         }
         let tag = Tag { phase, tree, chunk };
-        self.fab.send(to, tag, &encode_elems(data))
+        encode_elems(data, &mut self.send_buf);
+        self.fab.send(to, tag, &self.send_buf)
     }
 
-    /// Receive the element buffer `from` sent under `(tree, chunk, phase)`,
-    /// stashing any other traffic that arrives first.
-    pub fn recv_elems<E: Element>(
+    /// Receive the element frame `from` sent under `(tree, chunk, phase)`
+    /// straight into `dst`, stashing any other traffic that arrives first.
+    /// A frame whose length does not match `dst` is a
+    /// [`CommError::Protocol`] and leaves `dst` untouched.
+    fn recv_elems<E: Element>(
         &mut self,
         from: usize,
         tree: u8,
         chunk: u32,
         phase: u8,
-    ) -> Result<Vec<E>, CommError> {
+        dst: &mut [E],
+        land: Land,
+    ) -> Result<(), CommError> {
         let tag = Tag { phase, tree, chunk };
         let bytes = self.recv_raw(from, tag)?;
-        let data = decode_elems::<E>(&bytes).ok_or(CommError::Protocol { peer: from })?;
+        if bytes.len() != dst.len() * E::DTYPE.size_bytes() {
+            return Err(CommError::Protocol { peer: from });
+        }
+        match land {
+            Land::Copy => decode_elems_into(dst, &bytes),
+            Land::Add => reduce_elems_into(dst, &bytes),
+        }
         if let Some(buf) = &mut self.obs {
-            let len = data.len() as u64;
-            let name = format!("recv:{}:t{tree}:c{chunk}<-r{from}", phase_char(tag.phase));
+            let len = dst.len() as u64;
+            let name = format!("recv:{}:t{tree}:c{chunk}<-r{from}", phase_char(phase));
             buf.op(&name, len, len as f64);
         }
-        Ok(data)
+        Ok(())
     }
 
     /// Tag-matched receive over the raw fabric. The stash is consulted
     /// before the dead-peer flag: a message sent before a hangup must
     /// still be deliverable after it (per-pair FIFO guarantees data
-    /// frames precede the hangup frame).
+    /// frames precede the hangup frame). A second frame under a
+    /// `(sender, tag)` already stashed is a [`CommError::Protocol`] naming
+    /// that sender.
     fn recv_raw(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>, CommError> {
         if let Some(b) = self.stash.remove(&(from, tag)) {
             return Ok(b);
@@ -365,20 +408,20 @@ impl<F: Fabric> Communicator<F> {
             if msg.from == from && msg.tag == tag {
                 return Ok(msg.bytes);
             }
-            let dup = self.stash.insert((msg.from, msg.tag), msg.bytes);
-            assert!(
-                dup.is_none(),
-                "duplicate message from rank {} tag {:?}",
-                msg.from,
-                msg.tag
-            );
+            match self.stash.entry((msg.from, msg.tag)) {
+                Entry::Occupied(_) => return Err(CommError::Protocol { peer: msg.from }),
+                Entry::Vacant(slot) => {
+                    slot.insert(msg.bytes);
+                }
+            }
         }
     }
 
     // -- collectives ------------------------------------------------------
 
     /// Allreduce `data` in place across the world: every rank ends up
-    /// holding the elementwise sum.
+    /// holding the elementwise sum. On error `data` may hold a partial
+    /// sum; retry from a saved copy of the input.
     pub fn allreduce<E: Element>(
         &mut self,
         data: &mut [E],
@@ -417,23 +460,18 @@ impl<F: Fabric> Communicator<F> {
             let mid = range.start + range.len() / 2;
             let halves = [range.start..mid, mid..range.end];
             for (ti, tree) in [&dt.a, &dt.b].into_iter().enumerate() {
-                let seg = halves[ti].clone();
-                let mut acc: Vec<E> = data[seg.clone()].to_vec();
+                let seg = &mut data[halves[ti].clone()];
+                let (t, c) = (ti as u8, c as u32);
                 for &child in &tree.children[rank] {
-                    let got = self.recv_elems(child, ti as u8, c as u32, PHASE_UP)?;
-                    reduce_add_into(&mut acc, &got);
+                    self.recv_elems(child, t, c, PHASE_UP, seg, Land::Add)?;
                 }
-                let result = match tree.parent[rank] {
-                    Some(parent) => {
-                        self.send_elems(parent, ti as u8, c as u32, PHASE_UP, &acc)?;
-                        self.recv_elems(parent, ti as u8, c as u32, PHASE_DOWN)?
-                    }
-                    None => acc,
-                };
+                if let Some(parent) = tree.parent[rank] {
+                    self.send_elems(parent, t, c, PHASE_UP, seg)?;
+                    self.recv_elems(parent, t, c, PHASE_DOWN, seg, Land::Copy)?;
+                }
                 for &child in &tree.children[rank] {
-                    self.send_elems(child, ti as u8, c as u32, PHASE_DOWN, &result)?;
+                    self.send_elems(child, t, c, PHASE_DOWN, seg)?;
                 }
-                data[seg].copy_from_slice(&result);
             }
         }
         Ok(())
@@ -452,20 +490,18 @@ impl<F: Fabric> Communicator<F> {
         for s in 0..n - 1 {
             let send_chunk = (rank + n - s) % n;
             let recv_chunk = (rank + n - s - 1) % n;
-            let out = data[ranges[send_chunk].clone()].to_vec();
-            self.send_elems(next, 0, step, PHASE_RING, &out)?;
-            let got = self.recv_elems(prev, 0, step, PHASE_RING)?;
-            reduce_add_into(&mut data[ranges[recv_chunk].clone()], &got);
+            self.send_elems(next, 0, step, PHASE_RING, &data[ranges[send_chunk].clone()])?;
+            let into = &mut data[ranges[recv_chunk].clone()];
+            self.recv_elems(prev, 0, step, PHASE_RING, into, Land::Add)?;
             step += 1;
         }
         // Allgather: circulate the finished chunks.
         for s in 0..n - 1 {
             let send_chunk = (rank + 1 + n - s) % n;
             let recv_chunk = (rank + n - s) % n;
-            let out = data[ranges[send_chunk].clone()].to_vec();
-            self.send_elems(next, 0, step, PHASE_RING, &out)?;
-            let got = self.recv_elems(prev, 0, step, PHASE_RING)?;
-            data[ranges[recv_chunk].clone()].copy_from_slice(&got);
+            self.send_elems(next, 0, step, PHASE_RING, &data[ranges[send_chunk].clone()])?;
+            let into = &mut data[ranges[recv_chunk].clone()];
+            self.recv_elems(prev, 0, step, PHASE_RING, into, Land::Copy)?;
             step += 1;
         }
         Ok(())
@@ -489,16 +525,13 @@ impl<F: Fabric> Communicator<F> {
         let rank = self.rank();
         let chunks = chunks.clamp(1, data.len().max(1));
         let ranges = chunk_ranges(data.len(), chunks);
-        for (c, range) in ranges.iter().enumerate() {
-            let mut acc: Vec<E> = data[range.clone()].to_vec();
+        for (c, range) in ranges.into_iter().enumerate() {
+            let acc = &mut data[range];
             for &child in &tree.children[rank] {
-                let got = self.recv_elems(child, 0, c as u32, PHASE_UP)?;
-                reduce_add_into(&mut acc, &got);
+                self.recv_elems(child, 0, c as u32, PHASE_UP, acc, Land::Add)?;
             }
             if let Some(parent) = tree.parent[rank] {
-                self.send_elems(parent, 0, c as u32, PHASE_UP, &acc)?;
-            } else {
-                data[range.clone()].copy_from_slice(&acc);
+                self.send_elems(parent, 0, c as u32, PHASE_UP, acc)?;
             }
         }
         Ok(if tree.parent[rank].is_none() {
@@ -520,14 +553,13 @@ impl<F: Fabric> Communicator<F> {
         let rank = self.rank();
         let chunks = chunks.clamp(1, buf.len().max(1));
         let ranges = chunk_ranges(buf.len(), chunks);
-        for (c, range) in ranges.iter().enumerate() {
+        for (c, range) in ranges.into_iter().enumerate() {
+            let seg = &mut buf[range];
             if let Some(parent) = dt.a.parent[rank] {
-                let got = self.recv_elems(parent, 0, c as u32, PHASE_DOWN)?;
-                buf[range.clone()].copy_from_slice(&got);
+                self.recv_elems(parent, 0, c as u32, PHASE_DOWN, seg, Land::Copy)?;
             }
             for &child in &dt.a.children[rank] {
-                let out = buf[range.clone()].to_vec();
-                self.send_elems(child, 0, c as u32, PHASE_DOWN, &out)?;
+                self.send_elems(child, 0, c as u32, PHASE_DOWN, seg)?;
             }
         }
         Ok(())
@@ -536,10 +568,11 @@ impl<F: Fabric> Communicator<F> {
     /// This node's full HFReduce data path: reduce the GPU buffers on the
     /// "CPU" (one fused multi-input reduction), allreduce the node sum
     /// across nodes with the double binary tree, and broadcast the result
-    /// back to every GPU buffer.
+    /// back to every GPU buffer. The result is written into `gpu_bufs`,
+    /// which are returned.
     pub fn hfreduce<E: Element>(
         &mut self,
-        gpu_bufs: Vec<Vec<E>>,
+        mut gpu_bufs: Vec<Vec<E>>,
         chunks: usize,
     ) -> Result<Vec<Vec<E>>, CommError> {
         let len = gpu_bufs
@@ -561,7 +594,10 @@ impl<F: Fabric> Communicator<F> {
         }
         self.note("bcast:h2d", len as u64, (len * gpus) as f64);
         // H2D broadcast: every GPU buffer gets the result.
-        Ok(vec![node_sum; gpus])
+        for buf in &mut gpu_bufs {
+            buf.copy_from_slice(&node_sum);
+        }
+        Ok(gpu_bufs)
     }
 
     /// This rank's all2all: `sends[dst]` goes to rank `dst`, the result's
@@ -667,17 +703,106 @@ mod tests {
         assert_eq!(Vec::<i64>::wire_read(&mut cur), None);
     }
 
+    /// Encode then decode `xs`; every bit pattern must come back, in
+    /// `len × size_bytes()` bytes.
+    fn wire_roundtrip<E: Element>(xs: &[E]) {
+        let mut bytes = Vec::new();
+        encode_elems(xs, &mut bytes);
+        assert_eq!(bytes.len(), xs.len() * E::DTYPE.size_bytes());
+        let mut back = vec![E::ZERO; xs.len()];
+        decode_elems_into(&mut back, &bytes);
+        for (x, y) in xs.iter().zip(&back) {
+            assert_eq!(x.wire_bits(), y.wire_bits(), "{:?}", E::DTYPE);
+        }
+    }
+
     #[test]
     fn element_wire_format_is_exact_for_all_dtypes() {
         use ff_dtypes::{Bf16, F16, F8E4M3};
-        let f16s: Vec<F16> = (0..64).map(|i| F16::from_f32(i as f32 * 0.25)).collect();
-        assert_eq!(decode_elems::<F16>(&encode_elems(&f16s)), Some(f16s));
-        let bf16s: Vec<Bf16> = (0..64).map(|i| Bf16::from_f32(i as f32 * 2.0)).collect();
-        assert_eq!(decode_elems::<Bf16>(&encode_elems(&bf16s)), Some(bf16s));
-        let f8s: Vec<F8E4M3> = (0..16).map(|i| F8E4M3::from_f32(i as f32)).collect();
-        assert_eq!(decode_elems::<F8E4M3>(&encode_elems(&f8s)), Some(f8s));
-        let f32s = vec![1.0f32, -2.5, 3.25e-8, f32::MAX];
-        assert_eq!(decode_elems::<f32>(&encode_elems(&f32s)), Some(f32s));
+        let bf16s: Vec<Bf16> = (0..=u16::MAX).map(Bf16::from_bits).collect();
+        wire_roundtrip(&bf16s);
+        let f16s: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
+        wire_roundtrip(&f16s);
+        let f8s: Vec<F8E4M3> = (0..=u8::MAX).map(F8E4M3::from_bits).collect();
+        wire_roundtrip(&f8s);
+        // Every sign/exponent pair with a spread of mantissas, including
+        // signalling-NaN and subnormal payloads.
+        let f32s: Vec<f32> = (0..=0x1ffu32)
+            .flat_map(|se| [0, 1, 0x2a_aaaa, 0x40_0000, 0x7f_ffff].map(|m| (se << 23) | m))
+            .map(f32::from_bits)
+            .collect();
+        wire_roundtrip(&f32s);
+    }
+
+    #[test]
+    fn reduce_on_receive_matches_reduce_add_into() {
+        use ff_dtypes::Bf16;
+        for len in [0usize, 1, RECV_BLOCK - 1, RECV_BLOCK, RECV_BLOCK + 1, 1000] {
+            let a: Vec<Bf16> = (0..len).map(|i| Bf16::from_f32(i as f32 * 0.37)).collect();
+            let b: Vec<Bf16> = (0..len).map(|i| Bf16::from_f32(1.0 - i as f32)).collect();
+            let mut want = a.clone();
+            reduce_add_into(&mut want, &b);
+            let mut bytes = Vec::new();
+            encode_elems(&b, &mut bytes);
+            let mut got = a;
+            reduce_elems_into(&mut got, &bytes);
+            assert_eq!(got, want, "len {len}");
+        }
+    }
+
+    /// Rank 0 as a bare fabric endpoint feeding hand-made frames to rank
+    /// 1's communicator.
+    fn raw_pair() -> (InMemFabric, Communicator<InMemFabric>) {
+        let mut world = InMemFabric::mesh(2);
+        let c1 = Communicator::with_timeout(world.pop().expect("two"), Duration::from_secs(5));
+        (world.pop().expect("two"), c1)
+    }
+
+    #[test]
+    fn duplicate_frame_is_a_protocol_error() {
+        let (mut raw, mut comm) = raw_pair();
+        let stray = Tag {
+            phase: PHASE_UP,
+            tree: 1,
+            chunk: 0,
+        };
+        raw.send(1, stray, &[0; 8]).expect("send");
+        raw.send(1, stray, &[0; 8]).expect("send");
+        let mut acc = vec![1.0f32, 2.0];
+        let r = comm.recv_elems(0, 0, 0, PHASE_UP, &mut acc, Land::Add);
+        assert_eq!(r, Err(CommError::Protocol { peer: 0 }));
+        assert_eq!(acc, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn wrong_length_frame_is_a_protocol_error_and_leaves_acc_untouched() {
+        let (mut raw, mut comm) = raw_pair();
+        let tag = Tag {
+            phase: PHASE_UP,
+            tree: 0,
+            chunk: 0,
+        };
+        for bytes in [&[0u8; 12][..], &[0u8; 7][..]] {
+            raw.send(1, tag, bytes).expect("send");
+            let mut acc = vec![1.0f32, 2.0];
+            let r = comm.recv_elems(0, 0, 0, PHASE_UP, &mut acc, Land::Add);
+            assert_eq!(r, Err(CommError::Protocol { peer: 0 }));
+            assert_eq!(acc, vec![1.0, 2.0]);
+        }
+    }
+
+    #[test]
+    fn tcp_broadcast_delivers_every_bf16_bit_pattern() {
+        use crate::exec::run_broadcast;
+        use crate::fabric::TcpProvider;
+        use ff_dtypes::Bf16;
+        let all: Vec<Bf16> = (0..=u16::MAX).map(Bf16::from_bits).collect();
+        // The old f32 widening turned this signalling NaN into 0x7fc1.
+        assert_eq!(all[0x7f81].to_bits(), 0x7f81);
+        for out in run_broadcast(all.clone(), 3, 4, &TcpProvider) {
+            let bits: Vec<u16> = out.iter().map(|x| x.to_bits()).collect();
+            assert!(bits.iter().copied().eq(0..=u16::MAX));
+        }
     }
 
     #[test]

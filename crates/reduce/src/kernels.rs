@@ -31,16 +31,28 @@ pub fn reduce_add_into<E: Element>(dst: &mut [E], src: &[E]) {
 /// whole fan-in in `f32` before a single narrowing store — the multi-input
 /// form HFReduce uses for the 8-GPU intra-node reduce. All slices must have
 /// `dst`'s length; an empty `srcs` zeroes `dst`.
+///
+/// Source-major over blocks: each block's `f32` accumulator takes every
+/// source in turn (one contiguous, vectorizable pass per source), then
+/// narrows once. Every element still sees `0.0 + s0 + s1 + …` in source
+/// order, so the result is bit-identical to [`reference_sum`].
 pub fn reduce_n_into<E: Element>(dst: &mut [E], srcs: &[&[E]]) {
     for s in srcs {
         assert_eq!(s.len(), dst.len(), "length mismatch");
     }
-    for (i, d) in dst.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
+    let mut acc = [0.0f32; BLOCK];
+    for (b, out) in dst.chunks_mut(BLOCK).enumerate() {
+        let at = b * BLOCK;
+        let acc = &mut acc[..out.len()];
+        acc.fill(0.0);
         for s in srcs {
-            acc += s[i].to_f32();
+            for (a, x) in acc.iter_mut().zip(&s[at..at + out.len()]) {
+                *a += x.to_f32();
+            }
         }
-        *d = E::from_f32(acc);
+        for (o, a) in out.iter_mut().zip(acc.iter()) {
+            *o = E::from_f32(*a);
+        }
     }
 }
 
@@ -64,20 +76,27 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
 
 /// Serial reference: the exact element-wise f32 sum of all inputs,
 /// narrowed once (what any correct allreduce must produce, up to the
-/// summation order of its internal tree).
+/// summation order of its internal tree). A plain element-major scalar
+/// loop, independent of the kernels it is used to check.
 pub fn reference_sum<E: Element>(inputs: &[Vec<E>]) -> Vec<E> {
     assert!(!inputs.is_empty());
     let len = inputs[0].len();
-    let mut out = vec![E::ZERO; len];
-    let refs: Vec<&[E]> = inputs.iter().map(|v| v.as_slice()).collect();
-    reduce_n_into(&mut out, &refs);
-    out
+    assert!(inputs.iter().all(|v| v.len() == len), "length mismatch");
+    (0..len)
+        .map(|i| {
+            let mut acc = 0.0f32;
+            for v in inputs {
+                acc += v[i].to_f32();
+            }
+            E::from_f32(acc)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_dtypes::{Bf16, F16, F8E4M3};
+    use ff_dtypes::{Bf16, DType, F16, F8E4M3};
 
     #[test]
     fn add_into_f32_exact() {
@@ -170,6 +189,87 @@ mod tests {
     fn mismatched_lengths_rejected() {
         let mut a = vec![0.0f32; 3];
         reduce_add_into(&mut a, &[1.0, 2.0]);
+    }
+
+    /// Seeded inputs drawn from a palette that makes sums hit ±0, ±inf
+    /// and NaN (and F8's saturation) next to ordinary values.
+    fn edge_inputs<E: Element>(fan_in: usize, len: usize, seed: u64) -> Vec<Vec<E>> {
+        const PALETTE: [f32; 12] = [
+            0.0,
+            -0.0,
+            -1e-45,
+            1e-45,
+            1.0,
+            -1.0,
+            0.1,
+            3.0e38,
+            -3.0e38,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut rng = ff_util::rng::ChaCha8Rng::seed_from_u64(seed);
+        (0..fan_in)
+            .map(|_| {
+                (0..len)
+                    .map(|_| {
+                        let x = if rng.gen_bool(0.5) {
+                            *rng.choose(&PALETTE).expect("palette")
+                        } else {
+                            rng.gen_range(-4.0f64..4.0) as f32
+                        };
+                        E::from_f32(x)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn kernel_matches_oracle<E: Element>() {
+        let mut seen = [false; 5]; // +0, -0, +inf, -inf, NaN
+        for len in [0usize, 1, 63, 64, 65, 1000, 65_539] {
+            for fan_in in 0..=9 {
+                let inputs = edge_inputs::<E>(fan_in, len, (len * 16 + fan_in) as u64);
+                let refs: Vec<&[E]> = inputs.iter().map(|v| v.as_slice()).collect();
+                let mut got = vec![E::from_f32(7.0); len];
+                reduce_n_into(&mut got, &refs);
+                let want = if fan_in == 0 {
+                    vec![E::ZERO; len]
+                } else {
+                    reference_sum(&inputs)
+                };
+                let bits = |v: &[E]| v.iter().map(|x| x.wire_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{:?} len {len} fan-in {fan_in}",
+                    E::DTYPE
+                );
+                for x in got.iter().map(|x| x.to_f32()) {
+                    let class = match x {
+                        _ if x.is_nan() => 4,
+                        f32::INFINITY => 2,
+                        f32::NEG_INFINITY => 3,
+                        _ if x == 0.0 => usize::from(x.is_sign_negative()),
+                        _ => continue,
+                    };
+                    seen[class] = true;
+                }
+            }
+        }
+        // -0 goes in but never comes out: a sum that starts at +0.0 is +0
+        // whenever it is zero. FP8 E4M3 saturates instead of overflowing.
+        let inf = E::DTYPE != DType::F8E4M3;
+        let want = [true, false, inf, inf, true];
+        assert_eq!(seen, want, "{:?}: +0, -0, +inf, -inf, NaN", E::DTYPE);
+    }
+
+    #[test]
+    fn reduce_n_into_equals_reference_sum_bit_for_bit() {
+        kernel_matches_oracle::<f32>();
+        kernel_matches_oracle::<F16>();
+        kernel_matches_oracle::<Bf16>();
+        kernel_matches_oracle::<F8E4M3>();
     }
 
     #[test]

@@ -54,6 +54,21 @@ echo "==> fluid solver perf smoke (release, vs committed BENCH_fluid.json)"
 # Regenerate the artifact with `fluid_bench --write` when a PR moves it.
 cargo run -q --release --offline -p ff-bench --bin fluid_bench -- --check
 
+echo "==> benchmark unit tests and collectives smoke (release, bit-exact)"
+# Every grad-sync and allreduce-latency operation is compared bit for bit
+# with reference_sum: the last JSON line must report correct with no
+# failed operation. Timings are not compared.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for w in grad-sync allreduce-latency; do
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 3 --trace 0 | tail -n 1 | python3 -c "
+import json, sys
+r = json.load(sys.stdin)
+assert r['correct'] is True and r['failed'] == 0, r
+print('$w: correct, %d operations checked' % r['attempted'])
+"
+done
+
 echo "==> cargo clippy -D warnings (ff-platform)"
 cargo clippy --offline -p ff-platform --all-targets -- -D warnings
 
